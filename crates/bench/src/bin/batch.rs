@@ -18,14 +18,14 @@
 //! Per-task results go to `--results FILE` as JSONL; the full event
 //! stream (including the scheduler's inner passes) to `--trace FILE`.
 //!
-//! `--cache-file FILE` backs the run with a shared schedule cache
-//! persisted to FILE: entries from a previous run are loaded (warm
-//! hits) and newly computed schedules are appended, so repeated
-//! invocations over overlapping corpora start hot. Implies caching
-//! even without `--cache`. The `--compare-jobs` run warm-starts from a
-//! snapshot of FILE taken *before* the main run, so both runs see the
-//! same warm set and the determinism check still demands identical
-//! counters.
+//! `--cache CAP` backs the run with a schedule cache of CAP entries
+//! (default 1024). `--cache-file FILE` persists that cache to FILE:
+//! entries from a previous run are loaded (warm hits) and newly
+//! computed schedules are appended, so repeated invocations over
+//! overlapping corpora start hot; it implies caching even without
+//! `--cache`. The `--compare-jobs` run warm-starts from a snapshot of
+//! FILE taken *before* the main run, so both runs see the same warm
+//! set and the determinism check still demands identical counters.
 
 use asched_bench::report;
 use asched_engine::{
@@ -40,7 +40,7 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// Shard count for `--cache-file` runs — matches the serving tier so
+/// Shard count of the schedule cache — matches the serving tier so
 /// traces from both attribute the same shard ids to the same keys.
 const CACHE_SHARDS: usize = 16;
 
@@ -111,31 +111,29 @@ fn parse_args() -> Options {
     o
 }
 
-fn engine_config(o: &Options, jobs: usize) -> EngineConfig {
-    EngineConfig {
+/// Build an engine for the run: cached when `--cache` or `--cache-file`
+/// is given (the point of the file is reuse), warm-started from
+/// `cache_file` when one is given.
+fn build_engine(o: &Options, jobs: usize, cache_file: Option<&str>) -> io::Result<(Engine, u64)> {
+    let cfg = EngineConfig {
         jobs,
-        // --cache-file implies caching: the point of the file is reuse.
-        cache: o.cache.is_some() || o.cache_file.is_some(),
-        cache_capacity: o.cache.unwrap_or(1024),
         step_budget: o.budget,
         // Buffering every scheduler event only pays off when a trace
         // file wants them; engine-level events flow regardless.
         capture: o.trace.is_some(),
+    };
+    if o.cache.is_none() && o.cache_file.is_none() {
+        return Ok((Engine::new(cfg), 0));
     }
-}
-
-/// Build an engine for the run, warm-starting a shared cache from
-/// `--cache-file` when given.
-fn build_engine(o: &Options, jobs: usize, cache_file: Option<&str>) -> io::Result<(Engine, u64)> {
-    let cfg = engine_config(o, jobs);
-    match cache_file {
-        None => Ok((Engine::new(cfg), 0)),
-        Some(path) => {
-            let cache = Arc::new(SharedScheduleCache::new(cfg.cache_capacity, CACHE_SHARDS));
-            let warm = cache.warm_start(path.as_ref())?;
-            Ok((Engine::with_shared_cache(cfg, cache), warm.loaded))
-        }
-    }
+    let cache = Arc::new(SharedScheduleCache::new(
+        o.cache.unwrap_or(1024),
+        CACHE_SHARDS,
+    ));
+    let loaded = match cache_file {
+        Some(path) => cache.warm_start(path.as_ref())?.loaded,
+        None => 0,
+    };
+    Ok((Engine::with_shared_cache(cfg, cache), loaded))
 }
 
 fn results_jsonl(report: &BatchReport) -> String {

@@ -21,12 +21,16 @@
 
 use asched_bench::experiments::{self, RunCtx};
 use asched_bench::report;
-use asched_engine::{Engine, EngineConfig};
+use asched_engine::{Engine, EngineConfig, SharedScheduleCache};
 use asched_obs::{
     Event, JsonlRecorder, ProfileRecorder, Recorder, Severity, StderrDiagnostics, TeeRecorder, NULL,
 };
 use std::io::{self, Write};
 use std::process::ExitCode;
+use std::sync::Arc;
+
+/// Schedule-cache capacity in entries under `--cache`.
+const CACHE_CAPACITY: usize = 1024;
 
 fn usage() -> ! {
     eprintln!(
@@ -122,11 +126,15 @@ fn main() -> ExitCode {
     )
     .ok();
 
-    let engine = Engine::new(EngineConfig {
+    let cfg = EngineConfig {
         jobs: o.jobs,
-        cache: o.cache,
         ..EngineConfig::default()
-    });
+    };
+    let engine = if o.cache {
+        Engine::with_shared_cache(cfg, Arc::new(SharedScheduleCache::new(CACHE_CAPACITY, 1)))
+    } else {
+        Engine::new(cfg)
+    };
     let mut ctx = RunCtx::with_engine(&mut out, rec, engine);
     let mut ok = true;
     if o.ids.is_empty() || o.ids.iter().any(|a| a == "all") {

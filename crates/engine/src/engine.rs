@@ -39,7 +39,6 @@ use asched_obs::{
 };
 use asched_sim::{schedule_of, simulate, InstStream, IssuePolicy};
 
-use crate::cache::{PlanKind, ScheduleCache, TaskPlan};
 use crate::fingerprint::{fingerprint_task, Fingerprint};
 use crate::shared_cache::{SharedProbe, SharedScheduleCache};
 
@@ -49,10 +48,6 @@ pub struct EngineConfig {
     /// Worker threads for the compute phase. `0` and `1` both mean
     /// in-line sequential execution on the caller's thread.
     pub jobs: usize,
-    /// Enable the content-addressed schedule cache.
-    pub cache: bool,
-    /// Cache capacity in entries (FIFO eviction once full).
-    pub cache_capacity: usize,
     /// Per-task step budget imposed on tasks that don't set their own
     /// (see [`LookaheadConfig::step_budget`]). Exhausting it degrades
     /// the task rather than failing the batch.
@@ -69,8 +64,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             jobs: 1,
-            cache: false,
-            cache_capacity: 1024,
             step_budget: None,
             capture: true,
         }
@@ -156,10 +149,10 @@ pub struct BatchReport {
     /// Tasks with no schedule at all.
     pub failed: u64,
     /// Entries resident in the cache after this batch published (the
-    /// whole shared cache when one is attached). 0 with caching off.
+    /// whole cache, whatever engines filled it). 0 with caching off.
     pub cache_resident: u64,
-    /// Cache capacity in entries (total across shards for a shared
-    /// cache). 0 with caching off.
+    /// Cache capacity in entries, total across shards. 0 with caching
+    /// off.
     pub cache_capacity: u64,
     /// Wall-clock nanoseconds for the whole batch (plan + compute +
     /// emit). Nondeterministic by nature; excluded from [`Self::metrics`].
@@ -167,14 +160,14 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
-    /// Fold one plan entry into the cache counters.
-    fn tally(&mut self, plan: &TaskPlan) {
-        match plan.hit {
-            Some(true) => self.cache_hits += 1,
-            Some(false) => self.cache_misses += 1,
-            None => {}
+    /// Fold one cache decision into the cache counters.
+    fn tally(&mut self, d: &CacheDecision) {
+        if d.hit {
+            self.cache_hits += 1;
+        } else {
+            self.cache_misses += 1;
         }
-        if plan.evicted.is_some() {
+        if d.evicted.is_some() {
             self.cache_evictions += 1;
         }
     }
@@ -245,21 +238,45 @@ impl BatchReport {
 pub type Solver = dyn Fn(&mut SchedCtx, &TraceTask, &LookaheadConfig, &dyn Recorder) -> Result<TraceResult, CoreError>
     + Sync;
 
-/// Where an engine's cache decisions go: nowhere, a private per-engine
-/// FIFO cache, or a process-wide [`SharedScheduleCache`] attached to
-/// any number of engines. Either way, the cache is only touched from
-/// the sequential plan/publish phases — never from worker threads.
-enum CacheHandle {
-    Off,
-    Private(Mutex<ScheduleCache>),
-    Shared(Arc<SharedScheduleCache>),
+/// How the plan phase resolved one task of a batch.
+enum PlanKind {
+    /// Run the scheduler; the payload is this task's compute-slot index.
+    Compute(usize),
+    /// Reuse a value cached by a previous batch.
+    Ready(Arc<TaskValue>),
+    /// Reuse compute slot `i` of this batch (an earlier duplicate).
+    Alias(usize),
 }
 
-/// The batch scheduling engine. Holds (or shares) the schedule cache,
-/// which persists across [`Engine::run_batch`] calls.
+/// What the plan phase decided for one task's cache query, and what the
+/// emit phase must report for it.
+struct CacheDecision {
+    fp: Fingerprint,
+    hit: bool,
+    /// Shard the fingerprint maps to. Attributes both the query and any
+    /// eviction — an insert only ever evicts within its own shard.
+    shard: u32,
+    /// Whether a hit was served by an entry loaded from a cache file
+    /// (warm-start) rather than computed by this process.
+    warm: bool,
+    /// Eviction triggered by this task's insert: `(key, resident_after)`.
+    evicted: Option<(u128, u64)>,
+}
+
+/// Per-task plan entry; `cache` is `None` on an uncached engine.
+struct TaskPlan {
+    kind: PlanKind,
+    cache: Option<CacheDecision>,
+}
+
+/// The batch scheduling engine. An engine built with
+/// [`Engine::with_shared_cache`] resolves tasks against that cache,
+/// which persists across [`Engine::run_batch`] calls; the cache is only
+/// touched from the sequential plan/publish phases, never from worker
+/// threads.
 pub struct Engine {
     cfg: EngineConfig,
-    cache: CacheHandle,
+    cache: Option<Arc<SharedScheduleCache>>,
 }
 
 impl Default for Engine {
@@ -269,32 +286,24 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Build an engine with a private cache (when `cfg.cache` is set).
+    /// Build an uncached engine: every task is computed.
     pub fn new(cfg: EngineConfig) -> Self {
-        let cache = if cfg.cache {
-            CacheHandle::Private(Mutex::new(ScheduleCache::new(cfg.cache_capacity)))
-        } else {
-            CacheHandle::Off
-        };
-        Engine { cfg, cache }
+        Engine { cfg, cache: None }
     }
 
-    /// Build an engine backed by a process-wide shared cache. The
-    /// engine's own `cache`/`cache_capacity` knobs are ignored — the
-    /// shared cache owns capacity and eviction.
+    /// Build an engine backed by a schedule cache, which owns capacity
+    /// and eviction. The cache may be shared with any number of other
+    /// engines; a one-shard cache of its own makes a per-engine cache.
     pub fn with_shared_cache(cfg: EngineConfig, cache: Arc<SharedScheduleCache>) -> Self {
         Engine {
             cfg,
-            cache: CacheHandle::Shared(cache),
+            cache: Some(cache),
         }
     }
 
-    /// The shared cache this engine is attached to, if any.
+    /// The cache this engine is attached to, if any.
     pub fn shared_cache(&self) -> Option<&Arc<SharedScheduleCache>> {
-        match &self.cache {
-            CacheHandle::Shared(c) => Some(c),
-            _ => None,
-        }
+        self.cache.as_ref()
     }
 
     /// The engine's configuration.
@@ -409,78 +418,52 @@ impl Engine {
 
         // Phase 1: sequential, deterministic cache plan.
         let mut plans: Vec<TaskPlan> = Vec::with_capacity(tasks.len());
-        let mut fps: Vec<Option<Fingerprint>> = Vec::with_capacity(tasks.len());
         let mut compute: Vec<usize> = Vec::new(); // compute slot -> task index
         match &self.cache {
-            CacheHandle::Private(cache) => {
-                let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-                for (i, task) in tasks.iter().enumerate() {
-                    let fp = fingerprint_task(&task.graph, &task.machine, &task.config);
-                    let plan = cache.plan(fp, compute.len());
-                    if matches!(plan.kind, PlanKind::Compute(_)) {
-                        compute.push(i);
-                    }
-                    report.tally(&plan);
-                    fps.push(Some(fp));
-                    plans.push(plan);
-                }
-            }
-            CacheHandle::Shared(shared) => {
+            Some(cache) => {
                 // Within-batch duplicates alias *locally* (this map),
                 // so slot indices always refer to this batch and no
                 // batch ever waits on another's in-flight compute.
                 let mut pending: HashMap<u128, usize> = HashMap::new();
                 for (i, task) in tasks.iter().enumerate() {
                     let fp = fingerprint_task(&task.graph, &task.machine, &task.config);
-                    let shard = Some(shared.shard_of(fp));
-                    let plan = if let Some(&slot) = pending.get(&fp.0) {
-                        TaskPlan {
-                            kind: PlanKind::Alias(slot),
-                            hit: Some(true),
-                            evicted: None,
-                            shard,
-                            warm: false,
-                        }
-                    } else {
-                        match shared.plan(fp) {
-                            SharedProbe::Hit { value, warm } => TaskPlan {
-                                kind: PlanKind::Ready(value),
-                                hit: Some(true),
-                                evicted: None,
-                                shard,
-                                warm,
-                            },
-                            SharedProbe::Miss { evicted } => {
-                                pending.insert(fp.0, compute.len());
-                                TaskPlan {
-                                    kind: PlanKind::Compute(compute.len()),
-                                    hit: Some(false),
-                                    evicted,
-                                    shard,
-                                    warm: false,
-                                }
-                            }
-                        }
+                    let mut decision = CacheDecision {
+                        fp,
+                        hit: true,
+                        shard: cache.shard_of(fp),
+                        warm: false,
+                        evicted: None,
                     };
-                    if matches!(plan.kind, PlanKind::Compute(_)) {
-                        compute.push(i);
-                    }
-                    report.tally(&plan);
-                    fps.push(Some(fp));
-                    plans.push(plan);
+                    let kind = match pending.get(&fp.0) {
+                        Some(&slot) => PlanKind::Alias(slot),
+                        None => match cache.plan(fp) {
+                            SharedProbe::Hit { value, warm } => {
+                                decision.warm = warm;
+                                PlanKind::Ready(value)
+                            }
+                            SharedProbe::Miss { evicted } => {
+                                decision.hit = false;
+                                decision.evicted = evicted;
+                                pending.insert(fp.0, compute.len());
+                                compute.push(i);
+                                PlanKind::Compute(compute.len() - 1)
+                            }
+                        },
+                    };
+                    report.tally(&decision);
+                    plans.push(TaskPlan {
+                        kind,
+                        cache: Some(decision),
+                    });
                 }
             }
-            CacheHandle::Off => {
+            None => {
                 for i in 0..tasks.len() {
                     plans.push(TaskPlan {
-                        kind: PlanKind::Compute(compute.len()),
-                        hit: None,
-                        evicted: None,
-                        shard: None,
-                        warm: false,
+                        kind: PlanKind::Compute(i),
+                        cache: None,
                     });
                     compute.push(i);
-                    fps.push(None);
                 }
             }
         }
@@ -491,27 +474,14 @@ impl Engine {
 
         // Publish finished values so later batches can hit on them,
         // then snapshot residency for the report.
-        match &self.cache {
-            CacheHandle::Private(cache) => {
-                let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-                for (slot, &task_idx) in compute.iter().enumerate() {
-                    if let Some(fp) = fps[task_idx] {
-                        cache.publish(fp, slot, &values[slot].0);
-                    }
+        if let Some(cache) = &self.cache {
+            for (slot, &task_idx) in compute.iter().enumerate() {
+                if let Some(d) = &plans[task_idx].cache {
+                    cache.publish(d.fp, &values[slot].0);
                 }
-                report.cache_resident = cache.len() as u64;
-                report.cache_capacity = cache.capacity() as u64;
             }
-            CacheHandle::Shared(shared) => {
-                for (slot, &task_idx) in compute.iter().enumerate() {
-                    if let Some(fp) = fps[task_idx] {
-                        shared.publish(fp, &values[slot].0);
-                    }
-                }
-                report.cache_resident = shared.resident();
-                report.cache_capacity = shared.capacity();
-            }
-            CacheHandle::Off => {}
+            report.cache_resident = cache.resident();
+            report.cache_capacity = cache.capacity();
         }
 
         // Phase 3: sequential emit in input order. Task span ids are
@@ -530,28 +500,28 @@ impl Engine {
                 );
                 span
             });
-            if let (Some(fp), Some(hit)) = (fps[i], plan.hit) {
+            if let Some(d) = &plan.cache {
                 record!(
                     rec,
                     Event::CacheQuery {
-                        key: fp.0,
-                        hit,
-                        shard: plan.shard,
-                        warm: plan.warm,
+                        key: d.fp.0,
+                        hit: d.hit,
+                        shard: Some(d.shard),
+                        warm: d.warm,
                         span: task_span,
                     }
                 );
-            }
-            if let Some((key, resident)) = plan.evicted {
-                record!(
-                    rec,
-                    Event::CacheEvict {
-                        key,
-                        resident,
-                        shard: plan.shard,
-                        span: task_span,
-                    }
-                );
+                if let Some((key, resident)) = d.evicted {
+                    record!(
+                        rec,
+                        Event::CacheEvict {
+                            key,
+                            resident,
+                            shard: Some(d.shard),
+                            span: task_span,
+                        }
+                    );
+                }
             }
             let (value, from_cache) = match &plan.kind {
                 PlanKind::Compute(slot) => {
@@ -629,7 +599,7 @@ impl Engine {
             report.tasks.push(TaskReport {
                 index: i,
                 label: task.label.clone(),
-                fingerprint: fps[i],
+                fingerprint: plan.cache.as_ref().map(|d| d.fp),
                 outcome,
                 makespan,
                 result: value.result.clone(),

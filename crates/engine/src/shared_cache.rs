@@ -1,8 +1,10 @@
-//! The process-wide, content-addressed, sharded schedule cache.
+//! The content-addressed, sharded schedule cache — the engine's only
+//! cache.
 //!
 //! One [`SharedScheduleCache`] can back any number of [`Engine`]s —
 //! every serve worker, say — so N workers stop paying N cold misses
-//! for the same hot fingerprint. The key design points:
+//! for the same hot fingerprint. A one-shard cache owned by a single
+//! engine is a per-engine cache. The key design points:
 //!
 //! - **Sharded.** Entries live in `2^k` shards selected by the *high*
 //!   bits of the 128-bit fingerprint (FNV output is well-mixed, and
@@ -30,8 +32,7 @@
 //!   or failed values (the placeholder is dropped instead). The
 //!   fingerprint deliberately ignores step budgets, so a
 //!   budget-truncated fallback must never satisfy a later, more
-//!   generous request. Private per-engine caches still memoize
-//!   degraded values — a retry there reuses the same budget.
+//!   generous request.
 //! - **Warm-startable.** [`SharedScheduleCache::warm_start`] replays a
 //!   [`persist`](crate::persist) cache file into the shards (marking
 //!   entries *warm*, which cache events report) and attaches an

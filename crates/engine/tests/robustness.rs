@@ -2,8 +2,12 @@
 //! budgets, graceful degradation, caching semantics and input-order
 //! results.
 
+use std::sync::Arc;
+
 use asched_core::{schedule_blocks_independent, schedule_trace, CoreError, SchedCtx, SchedOpts};
-use asched_engine::{synth_corpus, Engine, EngineConfig, TaskOutcome, TraceTask};
+use asched_engine::{
+    synth_corpus, Engine, EngineConfig, SharedScheduleCache, TaskOutcome, TraceTask,
+};
 use asched_graph::{BlockId, DepGraph, MachineModel};
 use asched_obs::{JsonlRecorder, NULL};
 use asched_workloads::{random_trace_dag, DagParams};
@@ -20,6 +24,17 @@ fn small_corpus(n: usize) -> Vec<TraceTask> {
             TraceTask::new(format!("t{i}"), g, MachineModel::single_unit(4))
         })
         .collect()
+}
+
+/// An engine with a one-shard schedule cache of its own.
+fn cached(jobs: usize, capacity: usize) -> Engine {
+    Engine::with_shared_cache(
+        EngineConfig {
+            jobs,
+            ..EngineConfig::default()
+        },
+        Arc::new(SharedScheduleCache::new(capacity, 1)),
+    )
 }
 
 #[test]
@@ -128,11 +143,7 @@ fn unschedulable_input_fails_that_task_only() {
 #[test]
 fn cache_serves_repeats_across_batches() {
     let tasks = small_corpus(4);
-    let engine = Engine::new(EngineConfig {
-        cache: true,
-        cache_capacity: 64,
-        ..EngineConfig::default()
-    });
+    let engine = cached(1, 64);
     let first = engine.run_batch(&tasks, &NULL);
     assert_eq!(first.cache_hits, 0);
     assert_eq!(first.cache_misses, 4);
@@ -155,27 +166,24 @@ fn cache_serves_repeats_across_batches() {
 fn within_batch_duplicates_hit_and_capacity_evicts() {
     let mut tasks = small_corpus(2);
     tasks.push(tasks[0].clone()); // duplicate of task 0 in the same batch
-    let engine = Engine::new(EngineConfig {
-        cache: true,
-        cache_capacity: 1,
-        ..EngineConfig::default()
-    });
     let rec = JsonlRecorder::new(Vec::new());
-    let report = engine.run_batch(&tasks, &rec);
-    // Task 1 evicted task 0's entry, so the duplicate still hits only
-    // via... it cannot: capacity 1 evicted it. Misses: t0, t1, t2.
-    assert_eq!(report.cache_misses, 3);
-    assert!(report.cache_evictions >= 2);
+    let report = cached(1, 1).run_batch(&tasks, &rec);
+    // Task 1 evicts task 0's placeholder, but the duplicate still
+    // aliases task 0's computation within the batch: misses t0 and t1,
+    // one hit, one eviction.
+    assert_eq!(report.cache_misses, 2);
+    assert_eq!(report.cache_hits, 1);
+    assert_eq!(report.cache_evictions, 1);
+    assert_eq!(report.cached, 1);
+    assert_eq!(
+        report.tasks[0].result.as_ref().unwrap().block_orders,
+        report.tasks[2].result.as_ref().unwrap().block_orders
+    );
     let log = String::from_utf8(rec.into_inner()).unwrap();
     assert!(log.contains(r#""ev":"cache_evict""#), "{log}");
 
     // With room for both, the duplicate aliases task 0's computation.
-    let roomy = Engine::new(EngineConfig {
-        cache: true,
-        cache_capacity: 16,
-        ..EngineConfig::default()
-    });
-    let report = roomy.run_batch(&tasks, &NULL);
+    let report = cached(1, 16).run_batch(&tasks, &NULL);
     assert_eq!(report.cache_hits, 1);
     assert_eq!(report.cached, 1);
     assert_eq!(report.tasks[2].outcome, TaskOutcome::Cached);
@@ -188,18 +196,8 @@ fn within_batch_duplicates_hit_and_capacity_evicts() {
 #[test]
 fn parallel_equals_sequential_on_a_synth_corpus() {
     let tasks = synth_corpus(48, 7);
-    let seq = Engine::new(EngineConfig {
-        jobs: 1,
-        cache: true,
-        ..EngineConfig::default()
-    })
-    .run_batch(&tasks, &NULL);
-    let par = Engine::new(EngineConfig {
-        jobs: 8,
-        cache: true,
-        ..EngineConfig::default()
-    })
-    .run_batch(&tasks, &NULL);
+    let seq = cached(1, 1024).run_batch(&tasks, &NULL);
+    let par = cached(8, 1024).run_batch(&tasks, &NULL);
     assert_eq!(seq.metrics(), par.metrics());
     for (a, b) in seq.tasks.iter().zip(&par.tasks) {
         assert_eq!(a.outcome, b.outcome);
@@ -210,4 +208,38 @@ fn parallel_equals_sequential_on_a_synth_corpus() {
             b.result.as_ref().map(|r| &r.block_orders)
         );
     }
+}
+
+/// The fingerprint leaves out the step budget, so a value degraded by a
+/// tight budget must not be served to a later request for the same trace
+/// with no budget: that request is scheduled afresh, exactly as an
+/// uncached engine would.
+#[test]
+fn degraded_values_are_not_reused_by_a_roomier_request() {
+    let g = random_trace_dag(&DagParams {
+        nodes: 32,
+        blocks: 4,
+        max_latency: 3,
+        max_exec: 2,
+        class_fraction: 1.0,
+        seed: 1000,
+        ..DagParams::default()
+    });
+    let task = TraceTask::new("e8:1000", g, MachineModel::rs6000_like(4));
+    let mut tight = task.clone();
+    tight.config.step_budget = Some(1);
+
+    let engine = cached(1, 64);
+    let first = engine.run_batch(&[tight], &NULL);
+    assert_eq!(first.tasks[0].outcome, TaskOutcome::Degraded);
+    let second = engine.run_batch(std::slice::from_ref(&task), &NULL);
+    let fresh = Engine::default().run_batch(&[task], &NULL);
+
+    let (got, want) = (&second.tasks[0], &fresh.tasks[0]);
+    assert_eq!(got.outcome, TaskOutcome::Scheduled);
+    assert_eq!(got.makespan, want.makespan);
+    assert_eq!(
+        got.result.as_ref().unwrap().block_orders,
+        want.result.as_ref().unwrap().block_orders
+    );
 }

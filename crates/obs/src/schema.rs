@@ -374,8 +374,8 @@ pub fn validate_line(line: &str) -> Result<BTreeMap<String, Value>, SchemaError>
             });
         }
     }
-    // Shared-cache attribution is optional (private-cache traces omit
-    // it) but typed when present: `"shard"` is a non-negative integer
+    // Cache attribution is optional (traces written before every
+    // schedule cache was sharded omit it) but typed when present: `"shard"` is a non-negative integer
     // and `"warm"` a boolean, and both belong to cache events only.
     if let Some(value) = map.get("shard") {
         if !(ev == "cache_query" || ev == "cache_evict")

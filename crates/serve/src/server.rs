@@ -57,8 +57,8 @@ pub enum CacheMode {
     /// and `--cache-file` warm-start/persistence applies. The default.
     #[default]
     Shared,
-    /// One private FIFO cache per worker engine (the pre-sharing
-    /// behaviour): N workers pay N cold misses per hot fingerprint.
+    /// One one-shard [`SharedScheduleCache`] per worker engine, seen by
+    /// no other worker: N workers pay N cold misses per hot fingerprint.
     Private,
 }
 
@@ -415,14 +415,16 @@ fn worker_loop(sh: &Shared, worker: usize) {
     let mut ctx = SchedCtx::new();
     let ecfg = EngineConfig {
         jobs: 1,
-        cache: sh.cfg.cache_capacity > 0,
-        cache_capacity: sh.cfg.cache_capacity.max(1),
         step_budget: None,
         capture: false,
     };
-    let engine = match &sh.cache {
-        Some(cache) => Engine::with_shared_cache(ecfg, Arc::clone(cache)),
-        None => Engine::new(ecfg),
+    let engine = match (&sh.cache, sh.cfg.cache_capacity) {
+        (Some(cache), _) => Engine::with_shared_cache(ecfg, Arc::clone(cache)),
+        (None, 0) => Engine::new(ecfg),
+        // CacheMode::Private: a one-shard cache of this worker's own.
+        (None, capacity) => {
+            Engine::with_shared_cache(ecfg, Arc::new(SharedScheduleCache::new(capacity, 1)))
+        }
     };
     loop {
         let job = {

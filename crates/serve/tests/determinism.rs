@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use asched_engine::{parse_manifest, Engine, EngineConfig};
+use asched_engine::{parse_manifest, Engine, EngineConfig, SharedScheduleCache};
 use asched_obs::{NullRecorder, NULL};
 use asched_serve::{
     http_request, synth_request_bodies, task_json, CacheMode, Server, ServerConfig,
@@ -39,7 +39,6 @@ fn eight_clients_match_single_threaded_reference() {
     // Local ground truth: one engine, one thread, no cache.
     let engine = Engine::new(EngineConfig {
         jobs: 1,
-        cache: false,
         ..EngineConfig::default()
     });
     let expected: Vec<String> = bodies
@@ -156,20 +155,15 @@ fn shared_cache_is_deterministic_across_interleavings() {
         .collect();
 
     // Reference A: cold results (no cache → "scheduled" labels).
-    let cold_engine = Engine::new(EngineConfig {
+    let cfg = EngineConfig {
         jobs: 1,
-        cache: false,
         ..EngineConfig::default()
-    });
-    // Reference B: warm results — run each body twice through a
-    // private-cache engine and keep the second report ("cached" labels,
-    // same makespans and orders).
-    let warm_engine = Engine::new(EngineConfig {
-        jobs: 1,
-        cache: true,
-        cache_capacity: 512,
-        ..EngineConfig::default()
-    });
+    };
+    let cold_engine = Engine::new(cfg.clone());
+    // Reference B: warm results — run each body twice through a cached
+    // engine and keep the second report ("cached" labels, same
+    // makespans and orders).
+    let warm_engine = Engine::with_shared_cache(cfg, Arc::new(SharedScheduleCache::new(512, 1)));
     let mut expect_cold = Vec::new();
     let mut expect_warm = Vec::new();
     for body in &bodies {

@@ -10,7 +10,9 @@
 //! The engine's results are a pure function of the corpus — the two
 //! runs must agree task for task, whatever the job count.
 
-use asched::engine::{Engine, EngineConfig, TraceTask};
+use std::sync::Arc;
+
+use asched::engine::{Engine, EngineConfig, SharedScheduleCache, TraceTask};
 use asched::graph::MachineModel;
 use asched::obs::NULL;
 use asched::workloads::{random_trace_dag, DagParams};
@@ -52,12 +54,13 @@ fn main() {
         seq.scheduled
     );
 
-    let par = Engine::new(EngineConfig {
-        jobs: 4,
-        cache: true,
-        cache_capacity: 1024,
-        ..EngineConfig::default()
-    })
+    let par = Engine::with_shared_cache(
+        EngineConfig {
+            jobs: 4,
+            ..EngineConfig::default()
+        },
+        Arc::new(SharedScheduleCache::new(1024, 1)),
+    )
     .run_batch(&tasks, &NULL);
     println!(
         "jobs=4, cached   : {:>7.1} ms  ({} scheduled, {} served from cache)",
